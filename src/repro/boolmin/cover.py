@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.boolmin.quine_mccluskey import implicant_covers, implicant_literals
+from repro.boolmin.primes import implicant_covers, implicant_literals
 
 _EXACT_LIMIT_PRIMES = 18
 _EXACT_LIMIT_MINTERMS = 64

@@ -2,15 +2,18 @@
 
 This is the ESPRESSO-role primitive of the paper (Section 5.2): given a
 partial Boolean function (outputs 0 / 1 / don't-care ``*``), find a small
-sum-of-products equivalent, honoring don't-cares.  The result is returned
-both abstractly (list of implicants) and as a :class:`Formula` over caller-
-supplied atoms.
+sum-of-products equivalent, honoring don't-cares.  Primes come from the
+on- and off-sets alone, as minimal hitting sets of the blocking masks
+(:mod:`repro.boolmin.primes`); :mod:`repro.boolmin.cover` then picks a
+minimum cover (Petrick-exact when small, greedy otherwise).  The result is
+returned both abstractly (list of implicants) and as a :class:`Formula`
+over caller-supplied atoms.
 """
 
 from __future__ import annotations
 
 from repro.boolmin.cover import select_cover
-from repro.boolmin.quine_mccluskey import implicant_literals, prime_implicants
+from repro.boolmin.primes import prime_implicants
 from repro.logic.formulas import FALSE, TRUE, conj, disj, neg
 
 DONT_CARE = "*"
@@ -97,11 +100,3 @@ def min_bool_exp(table, atoms):
     """The paper's ``MinBoolExp``: minimized formula for a partial function."""
     implicants = minimize_table(table)
     return implicants_to_formula(implicants, atoms)
-
-
-def formula_cost(implicants, num_vars):
-    """(num products, total literals) -- the minimization objective."""
-    return (
-        len(implicants),
-        sum(implicant_literals(p, num_vars) for p in implicants),
-    )

@@ -1,29 +1,20 @@
 """Quine-McCluskey prime implicant generation with don't-cares.
 
-An implicant over ``n`` variables is a pair ``(value, mask)`` of ints:
-bit ``i`` of ``mask`` set means variable ``i`` is unconstrained (a dash);
-otherwise bit ``i`` of ``value`` gives the required polarity.
+The slow reference for :mod:`repro.boolmin.primes`: the differential tests
+check that the hitting-set generator returns exactly the primes listed
+here that cover an on-minterm.  Implicants are ``(value, mask)`` pairs as
+described there.
 """
 
 from __future__ import annotations
-
-
-def implicant_covers(implicant, minterm):
-    value, mask = implicant
-    return (minterm | mask) == (value | mask)
-
-
-def implicant_literals(implicant, num_vars):
-    """Number of literals (non-dash positions) in the implicant."""
-    _, mask = implicant
-    return num_vars - bin(mask).count("1")
 
 
 def prime_implicants(minterms, dont_cares, num_vars):
     """Compute all prime implicants of the on-set given don't-cares.
 
     ``minterms`` and ``dont_cares`` are iterables of ints in
-    ``[0, 2**num_vars)``.  Returns a list of ``(value, mask)`` pairs.
+    ``[0, 2**num_vars)``.  Returns a sorted list of ``(value, mask)``
+    pairs, including primes that cover only don't-cares.
     """
     current = {(m, 0) for m in set(minterms) | set(dont_cares)}
     primes = set()

@@ -8,9 +8,13 @@ inside the bound:
    to negation, under the ambient context) and maps them to Boolean
    variables;
 2. ``BuildTruthTable`` enumerates truth assignments, marking theory-
-   infeasible rows and bound-gap rows as don't-cares;
-3. ``MinBoolExp`` (Quine-McCluskey/Petrick) minimizes the resulting partial
-   function, and the chosen implicants are rendered back over the atoms.
+   infeasible rows and bound-gap rows as don't-cares.  Prefix feasibility
+   is keyed by interned literal bits (an int OR per DFS node) and decided
+   by the solver's per-component theory memo;
+3. ``MinBoolExp`` minimizes the resulting partial function -- primes as
+   minimal hitting sets of the on/off blocking masks, then a Petrick (or
+   greedy) cover -- and the chosen implicants are rendered back over the
+   atoms.
 """
 
 from __future__ import annotations
@@ -45,17 +49,6 @@ class AtomMapping:
     @property
     def num_vars(self):
         return len(self.atoms)
-
-    def literal_formula(self, index, positive):
-        atom = self.atoms[index]
-        return atom if positive else neg(atom)
-
-    def assignment_formula(self, assignment):
-        """Conjunction of literals for a truth assignment (int bitmask)."""
-        literals = []
-        for i, atom in enumerate(self.atoms):
-            literals.append(atom if assignment & (1 << i) else neg(atom))
-        return conj(*literals)
 
     def evaluate(self, formula, assignment):
         """Evaluate ``formula`` propositionally under the assignment."""
@@ -211,7 +204,10 @@ class _FeasibilityChecker:
     """Feasibility of literal prefixes, with a theory-direct fast path.
 
     When every atom and context conjunct canonicalizes, prefix queries go
-    straight to the theory layer (no SAT search at all).  Otherwise a
+    straight to the theory layer (no SAT search at all).  Each theory
+    literal is interned once to a bit of the owning solver, so a DFS node
+    keys its prefix by an int OR of precomputed bits; only a miss in the
+    solver's prefix cache builds the literal tuple.  Otherwise a
     single incremental :class:`~repro.solver.smt.FeasibilitySession` is
     shared by the whole truth-table DFS: the context is encoded once, the
     SAT trail persists between prefixes (consecutive DFS nodes share long
@@ -244,6 +240,7 @@ class _FeasibilityChecker:
                 for lit in atom_literals
             ]
             self._context_set = frozenset(self._context_prefix)
+            self._intern()
             # (atom, polarity) theory literal -> (atom index, wanted bit);
             # first writer wins on aliased atoms (either explanation is
             # sound).
@@ -284,23 +281,53 @@ class _FeasibilityChecker:
             return None  # non-literal context: use the SMT facade
         return atom_literals, tuple(context_literals or ())
 
-    def feasible_prefix(self, assignment, length):
-        if self._literals is None:
-            return self._feasible_slow(assignment, length)
+    def _intern(self):
+        """Literal bits for the context and both polarities of each atom."""
+        context = self._context_prefix
+        pairs = self._atom_pairs
+        bits = self.solver.literal_bits(
+            context + tuple(literal for pair in pairs for literal in pair)
+        )
+        self._epoch = self.solver.intern_epoch
+        self._context_mask = 0
+        for bit in bits[:len(context)]:
+            self._context_mask |= bit
+        rest = bits[len(context):]
+        self._pair_bits = [
+            (rest[2 * i], rest[2 * i + 1]) for i in range(len(pairs))
+        ]
+
+    def _prefix_literals(self, assignment, length):
         pairs = self._atom_pairs
         literals = list(self._context_prefix)
         for i in range(length):
             when_set, when_clear = pairs[i]
             literals.append(when_set if assignment & (1 << i) else when_clear)
-        if not literals:
-            return True
-        if self.solver._theory_ok(tuple(literals)):
+        return tuple(literals)
+
+    def feasible_prefix(self, assignment, length):
+        if self._literals is None:
+            return self._feasible_slow(assignment, length)
+        solver = self.solver
+        if self._epoch != solver.intern_epoch:
+            self._intern()
+        key = self._context_mask
+        pair_bits = self._pair_bits
+        for i in range(length):
+            when_set, when_clear = pair_bits[i]
+            key |= when_set if assignment & (1 << i) else when_clear
+        if not key:
+            return True  # no literals at all
+        if solver.prefix_ok(
+            key, lambda: self._prefix_literals(assignment, length)
+        ):
             return True
         # Shrink the inconsistent set (memoized in the owning solver) and
         # record it as a (mask, bits) core over atom indices.  Context
         # literals hold for every prefix, so they contribute no bits.
         mask = bits = 0
-        for literal in self.solver._shrink_core(tuple(literals)):
+        literals = self._prefix_literals(assignment, length)
+        for literal in solver._shrink_core(literals):
             if literal in self._context_set:
                 continue
             hit = self._lit_to_bit.get(literal)

@@ -46,7 +46,7 @@ the hint pipeline's real hot path: blocking-clause model enumeration.
   point);
 * **one-flip condensation of permanent clauses** -- a permanent clause
   addition that differs from a live permanent clause in exactly one
-  flipped literal replaces both with their resolvent (C \/ l and C \/ -l
+  flipped literal replaces both with their resolvent (C \\/ l and C \\/ -l
   are together equivalent to C), cascading until no partner matches.
   Blocking-clause enumeration telescopes under this rule: the live
   blocking set (and with it the watch lists the propagation loop walks)

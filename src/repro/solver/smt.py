@@ -15,6 +15,7 @@ everywhere, which is the guarantee Qr-Hint's correctness requires.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import SolverLimitError
@@ -35,7 +36,11 @@ from repro.obs import TRACER
 from repro.service.faults import FAULTS
 from repro.solver.atoms import CanonicalLiteral, canonicalize
 from repro.solver.sat import SatSolver
-from repro.solver.theory import check_literals, find_model as theory_find_model
+from repro.solver.theory import (
+    check_literals,
+    components,
+    find_model as theory_find_model,
+)
 from repro.solver.tseitin import CnfBuilder, assert_skeleton
 
 SAT = "sat"
@@ -44,10 +49,40 @@ UNSAT = "unsat"
 _MISS = object()  # cache-miss sentinel (None is not a legal verdict)
 
 # Long-lived sessions hold one Solver for their whole lifetime; the theory
-# caches flush wholesale at these sizes so sustained grading traffic cannot
-# grow them without bound (a flush only costs re-derivation, not soundness).
+# caches evict their least recently used entries past these sizes, so
+# sustained grading traffic cannot grow them without bound (an eviction
+# only costs re-derivation, not soundness).
 _THEORY_CACHE_LIMIT = 200_000
 _CORE_CACHE_LIMIT = 50_000
+_PREFIX_CACHE_LIMIT = 200_000
+# Interned theory literals: a prefix key has one bit per literal id, so the
+# intern table (and with it every prefix key) is reset past this size.
+_INTERN_LIMIT = 4096
+
+
+class LruCache(OrderedDict):
+    """A dict bounded at ``limit`` entries that evicts the least recently
+    used one on overflow (instead of flushing everything)."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def hit(self, key):
+        """The cached value (now most recently used), or ``_MISS``."""
+        # pop + re-insert compares keys once; get + move_to_end would
+        # compare twice, and equal atoms from separate solves compare
+        # field by field.
+        value = self.pop(key, _MISS)
+        if value is not _MISS:
+            self[key] = value
+        return value
+
+    def put(self, key, value):
+        self[key] = value
+        self.move_to_end(key)
+        if len(self) > self.limit:
+            self.popitem(last=False)
 
 
 def _block_literals(sat, atom_vars, literals, lemma):
@@ -111,8 +146,17 @@ class Solver:
         #: once per DPLL(T) round by :meth:`_checkpoint`.
         self.deadline = None
         self._sat_cache = {}
-        self._theory_cache = {}
-        self._core_cache = {}  # frozenset(literals) -> shrunk core tuple
+        # frozenset(literals) -> verdict, for whole literal sets and for
+        # their variable-disjoint components alike.
+        self._theory_cache = LruCache(_THEORY_CACHE_LIMIT)
+        self._core_cache = LruCache(_CORE_CACHE_LIMIT)  # -> shrunk core
+        # (atom, positive) theory literal -> small int id, and the OR of
+        # ``1 << id`` over a literal set -> verdict (see literal_bits).
+        self._literal_ids = {}
+        self._prefix_cache = LruCache(_PREFIX_CACHE_LIMIT)
+        #: Bumped whenever the intern table resets; holders of literal
+        #: bits must re-intern when it changes.
+        self.intern_epoch = 0
         self.stats = {
             "sat_calls": 0,
             "theory_calls": 0,
@@ -152,16 +196,17 @@ class Solver:
         """Zero the counters and drop the per-lifetime theory caches.
 
         The memoized primitive verdicts (``_sat_cache``) are kept -- they
-        are pure functions of the formula.  The theory-literal and
-        shrunk-core caches are dropped eagerly here; in steady state they
-        are also flushed automatically at ``_THEORY_CACHE_LIMIT`` /
-        ``_CORE_CACHE_LIMIT`` entries, so long-lived services stay bounded
-        without calling this.
+        are pure functions of the formula.  The theory-literal, shrunk-core
+        and prefix caches are dropped eagerly here; in steady state they
+        evict least-recently-used entries past ``_THEORY_CACHE_LIMIT`` /
+        ``_CORE_CACHE_LIMIT`` / ``_PREFIX_CACHE_LIMIT``, so long-lived
+        services stay bounded without calling this.
         """
         for key in self.stats:
             self.stats[key] = 0
         self._theory_cache.clear()
         self._core_cache.clear()
+        self._prefix_cache.clear()
 
     def _checkpoint(self):
         """Cooperative poll run once per DPLL(T) round.
@@ -389,16 +434,71 @@ class Solver:
             return False
 
     def _theory_ok(self, literals):
+        """Theory consistency of a literal conjunction, memoised.
+
+        A miss on the whole set splits it into variable-disjoint
+        components and memoises each one in the same cache: DFS prefixes
+        that differ only in unrelated atoms then share their component
+        checks instead of re-running Fourier-Motzkin on the whole set.
+        """
+        cache = self._theory_cache
         key = frozenset(literals)
-        cached = self._theory_cache.get(key, _MISS)
-        if cached is not _MISS:
+        result = cache.hit(key)
+        if result is not _MISS:
             self.stats["theory_cache_hits"] += 1
-            return cached
+            return result
+        parts = components(literals)
+        if len(parts) == 1:
+            result = self._check_theory(literals)
+        else:
+            result = True
+            for part in parts:
+                part_key = frozenset(part)
+                verdict = cache.hit(part_key)
+                if verdict is _MISS:
+                    verdict = self._check_theory(part)
+                    cache.put(part_key, verdict)
+                else:
+                    self.stats["theory_cache_hits"] += 1
+                if not verdict:
+                    result = False
+                    break
+        cache.put(key, result)
+        return result
+
+    def _check_theory(self, literals):
         self.stats["theory_calls"] += 1
-        result = check_literals(literals)
-        if len(self._theory_cache) >= _THEORY_CACHE_LIMIT:
-            self._theory_cache.clear()  # bound long-lived service growth
-        self._theory_cache[key] = result
+        return check_literals(literals)
+
+    def literal_bits(self, literals):
+        """``1 << id`` for each theory literal, interning new ones.
+
+        The OR of a literal set's bits is a cheap exact key for it (see
+        :meth:`prefix_ok`).  Past ``_INTERN_LIMIT`` ids the table restarts
+        and ``intern_epoch`` is bumped: callers holding bits from an older
+        epoch must intern again, since the old keys mean nothing now.
+        """
+        ids = self._literal_ids
+        if len(ids) + len(literals) > _INTERN_LIMIT:
+            ids.clear()
+            self._prefix_cache.clear()
+            self.intern_epoch += 1
+        return [1 << ids.setdefault(literal, len(ids)) for literal in literals]
+
+    def prefix_ok(self, mask, literals):
+        """:meth:`_theory_ok` for a literal set keyed by its interned bits.
+
+        ``mask`` is the OR of :meth:`literal_bits` over the set, and
+        ``literals`` a zero-argument callable building the literal tuple,
+        called only on a miss.
+        """
+        cache = self._prefix_cache
+        result = cache.hit(mask)
+        if result is not _MISS:
+            self.stats["theory_cache_hits"] += 1
+            return result
+        result = self._theory_ok(literals())
+        cache.put(mask, result)
         return result
 
     def _shrink_core(self, literals, max_stall=8):
@@ -420,8 +520,8 @@ class Solver:
         if len(core) > 24:  # too costly to shrink; block the full assignment
             return core
         key = frozenset(literals)
-        cached = self._core_cache.get(key)
-        if cached is not None:
+        cached = self._core_cache.hit(key)
+        if cached is not _MISS:
             return list(cached)
         core.sort(key=lambda literal: len(str(literal[0])), reverse=True)
         i = 0
@@ -436,9 +536,7 @@ class Solver:
                 stall += 1
                 if stall >= max_stall:
                     break
-        if len(self._core_cache) >= _CORE_CACHE_LIMIT:
-            self._core_cache.clear()  # bound long-lived service growth
-        self._core_cache[key] = tuple(core)
+        self._core_cache.put(key, tuple(core))
         return core
 
     def feasibility_session(self, atoms, context=()):

@@ -5,6 +5,10 @@ canonical atoms; we dispatch the numeric literals to the Fourier-Motzkin
 solver and the string literals to the union-find/LIKE solver.  Opaque atoms
 are unconstrained and always consistent.
 
+:func:`components` splits a literal set into groups that share no
+variable; the conjunction is consistent iff every group is, which lets the
+SMT facade memoise each group on its own.
+
 :func:`find_model` runs the same dispatch but asks each theory for a
 concrete assignment; the merged term valuation (plus a completeness flag
 that records whether opaque atoms were ignored) backs the counterexample
@@ -13,6 +17,7 @@ witness subsystem.
 
 from __future__ import annotations
 
+from repro.logic.terms import Const
 from repro.solver import arith, strings
 from repro.solver.arith import Constraint, EQ, LE, LT
 
@@ -71,6 +76,54 @@ def _partition(literals):
         string_likes,
         opaque_count,
     )
+
+
+def _atom_nodes(atom):
+    """What an atom can share with another: its terms, its string constants
+    (by value), or -- for an opaque atom -- only itself."""
+    kind = atom.kind
+    if kind in ("num_le", "num_eq"):
+        return [term for term, _ in atom.payload.coeffs]
+    if kind == "str_eq":
+        return [
+            ("str", side.value) if isinstance(side, Const) else side
+            for side in atom.payload
+        ]
+    if kind == "str_like":
+        term, pattern = atom.payload
+        if "%" in pattern or "_" in pattern:
+            return [term]
+        return [term, ("str", pattern)]  # a wildcard-free LIKE is an equality
+    return [atom]
+
+
+def components(literals):
+    """Split (Atom, positive) pairs into variable-disjoint groups.
+
+    Two literals share a group when their atoms are linked by a chain of
+    shared nodes (see :func:`_atom_nodes`); an atom asserted with both
+    polarities therefore stays in one group.  Each group keeps the input
+    order, and groups are listed by their first literal.
+    """
+    parent = list(range(len(literals)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner = {}
+    for i, (atom, _) in enumerate(literals):
+        for node in _atom_nodes(atom):
+            j = owner.setdefault(node, i)
+            if j != i:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i, literal in enumerate(literals):
+        groups.setdefault(find(i), []).append(literal)
+    return [tuple(group) for group in groups.values()]
 
 
 def check_literals(literals):

@@ -1,6 +1,7 @@
 """Tests for the Boolean minimization substrate."""
 
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,9 @@ from repro.boolmin import (
     minimize_table,
     prime_implicants,
 )
+from repro.boolmin.cover import select_cover
+from repro.boolmin.primes import minimal_transversals
+from repro.boolmin.quine_mccluskey import prime_implicants as qm_prime_implicants
 from repro.logic.evaluate import eval_formula
 from repro.logic.formulas import Comparison, FALSE, TRUE
 from repro.logic.terms import const, intvar
@@ -139,3 +143,75 @@ def test_formula_rendering_consistent_with_cover(data):
         minterm = sum(bit << i for i, bit in enumerate(assignment))
         expected = any(implicant_covers(p, minterm) for p in cover)
         assert eval_formula(formula, env) == expected
+
+
+class TestMinimalTransversals:
+    def test_empty_hypergraph_has_the_empty_transversal(self):
+        assert minimal_transversals(0, []) == [0]
+
+    def test_one_bit_edges_are_forced(self):
+        assert minimal_transversals(0b101, []) == [0b101]
+
+    def test_berge_on_two_edges(self):
+        # Edges {0,1} and {1,2}: minimal transversals {1} and {0,2}.
+        assert sorted(minimal_transversals(0, [0b011, 0b110])) == [
+            0b010, 0b101,
+        ]
+
+    def test_superset_edges_are_ignored(self):
+        assert sorted(minimal_transversals(0, [0b011, 0b111])) == [
+            0b001, 0b010,
+        ]
+
+
+def _partial_function(num_vars, seed, on_weight, dc_weight):
+    """A random table: each row is on, don't-care or off.  About half the
+    off rows are left unset, since missing rows default to 0."""
+    rng = random.Random(seed)
+    outputs = {}
+    for minterm in range(1 << num_vars):
+        r = rng.random() * (on_weight + dc_weight + 1)
+        if r < on_weight:
+            outputs[minterm] = 1
+        elif r < on_weight + dc_weight:
+            outputs[minterm] = DONT_CARE
+        elif rng.random() < 0.5:
+            outputs[minterm] = 0
+    return TruthTable(num_vars, outputs)
+
+
+def _qm_useful_primes(table):
+    """Slow reference: Quine-McCluskey primes covering an on-minterm."""
+    on = table.on_set
+    primes = qm_prime_implicants(on, table.dc_set, table.num_vars)
+    return [p for p in primes if any(implicant_covers(p, m) for m in on)]
+
+
+partial_functions = st.builds(
+    _partial_function,
+    st.integers(0, 10),
+    st.integers(0, 2**32),
+    st.integers(0, 4),
+    st.integers(0, 8),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(partial_functions)
+def test_hitting_set_primes_match_quine_mccluskey(table):
+    """Differential: the same primes as QM's useful list, same order."""
+    assert prime_implicants(
+        table.on_set, table.dc_set, table.num_vars
+    ) == _qm_useful_primes(table)
+
+
+@settings(max_examples=120, deadline=None)
+@given(partial_functions)
+def test_minimize_table_matches_quine_mccluskey_cover(table):
+    """Differential: the cover chosen from QM's primes is the same one."""
+    on = table.on_set
+    expected = (
+        select_cover(_qm_useful_primes(table), on, table.num_vars)
+        if on else []
+    )
+    assert minimize_table(table) == expected

@@ -1,7 +1,16 @@
 """Tests for CreateBounds (Algorithm 2) and MinFix (Algorithms 5/6)."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.core.bounds import bounds_admit, create_bounds
-from repro.core.minfix import build_truth_table, map_atom_preds, min_fix, min_fix_pos
+from repro.core.minfix import (
+    _FeasibilityChecker,
+    build_truth_table,
+    map_atom_preds,
+    min_fix,
+    min_fix_pos,
+)
 from repro.logic.formulas import (
     Comparison,
     FALSE,
@@ -12,6 +21,8 @@ from repro.logic.formulas import (
     neg,
 )
 from repro.logic.terms import add, const, intvar
+from repro.solver import Solver, smt
+from repro.solver.theory import check_literals
 
 A, B, C, D, E, F = (intvar(x) for x in "ABCDEF")
 
@@ -185,3 +196,92 @@ class TestMinFix:
         target = cmp("=", A, B) & cmp("<", C, D)
         fix = min_fix_pos(target, target, solver)
         assert solver.is_equiv(fix, target)
+
+
+# ----------------------------------------------------------------------
+# Interned bitmask prefix keys vs the tuple-keyed path
+# ----------------------------------------------------------------------
+
+PREFIX_POOL = [
+    cmp("<", A, B), cmp("<", B, C), cmp("<", C, A), cmp("=", A, const(1)),
+    cmp(">", A, const(3)), cmp("<=", D, E), cmp("=", D, const(2)),
+    cmp(">", E, const(5)), cmp("<>", B, D), cmp("<", add(A, D), const(0)),
+]
+LONG_LIVED = Solver()
+
+
+def _bounds(atom_ids, context_ids):
+    atoms = [PREFIX_POOL[i] for i in atom_ids]
+    context = [PREFIX_POOL[i] for i in context_ids]
+    return conj(*atoms[:2]), disj(*atoms), context
+
+
+def _tuple_keyed(self, mask, literals):
+    return self._theory_ok(literals())
+
+
+prefix_cases = st.tuples(
+    st.lists(st.integers(0, len(PREFIX_POOL) - 1), min_size=1, max_size=6,
+             unique=True),
+    st.lists(st.integers(0, len(PREFIX_POOL) - 1), max_size=2),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(prefix_cases)
+def test_bitmask_prefix_answers_match_monolithic_check(case):
+    """Every DFS prefix: the interned-key answer on a long-lived solver is
+    check_literals' verdict on the prefix's literal tuple."""
+    lower, upper, context = _bounds(*case)
+    mapping = map_atom_preds([lower, upper], LONG_LIVED, context)
+    checker = _FeasibilityChecker(mapping, LONG_LIVED, context)
+    if checker._literals is None:
+        return  # non-literal context: the SMT session path decides
+    for length in range(mapping.num_vars + 1):
+        for assignment in range(1 << length):
+            literals = checker._prefix_literals(assignment, length)
+            expected = check_literals(literals) if literals else True
+            assert checker.feasible_prefix(assignment, length) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix_cases)
+def test_bitmask_keyed_tables_match_tuple_keyed_tables(case):
+    lower, upper, context = _bounds(*case)
+    solver = Solver()
+    mapping = map_atom_preds([lower, upper], solver, context)
+    table = build_truth_table(mapping, lower, upper, solver, context)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Solver, "prefix_ok", _tuple_keyed)
+        reference_solver = Solver()
+        reference = build_truth_table(
+            map_atom_preds([lower, upper], reference_solver, context),
+            lower, upper, reference_solver, context,
+        )
+    assert table.outputs == reference.outputs
+
+
+def test_checker_reinterns_after_the_intern_table_resets(monkeypatch):
+    monkeypatch.setattr(smt, "_INTERN_LIMIT", 8)
+    solver = Solver()
+    first_atoms = [cmp("<", A, B), cmp("<", B, C), cmp("<", C, A)]
+    lower, upper = conj(*first_atoms[:2]), disj(*first_atoms)
+    first = _FeasibilityChecker(map_atom_preds([lower, upper], solver),
+                                solver, ())
+    assert first.feasible_prefix(0b011, 2)
+    assert not first.feasible_prefix(0b111, 3)  # A<B<C<A
+    epoch = solver.intern_epoch
+    # Six more literals pass the limit: the table restarts and the new
+    # ids reuse the first checker's bit positions.
+    other = [cmp("=", D, const(2)), cmp(">", E, const(5)), cmp("<=", D, E)]
+    second = _FeasibilityChecker(map_atom_preds([disj(*other)], solver),
+                                 solver, ())
+    assert solver.intern_epoch == epoch + 1
+    # Fill the prefix cache under the new ids, then query the first
+    # checker: stale bits would collide with the second checker's keys.
+    for checker in (second, first):
+        for length in range(4):
+            for assignment in range(1 << length):
+                literals = checker._prefix_literals(assignment, length)
+                expected = check_literals(literals) if literals else True
+                assert checker.feasible_prefix(assignment, length) == expected

@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic.evaluate import eval_formula
 from repro.logic.formulas import Comparison, conj, disj, neg
-from repro.logic.terms import add, const, intvar
+from repro.logic.terms import add, const, intvar, mul, strvar
 from repro.solver import Solver
+from repro.solver.atoms import canonicalize
+from repro.solver.theory import check_literals, components
 
 VARS = [intvar("x"), intvar("y"), intvar("z")]
 OPS = ["=", "<>", "<", "<=", ">", ">="]
@@ -103,3 +105,77 @@ def test_conjunction_unsat_propagates(left, right):
     """If a conjunct is UNSAT, the conjunction must be too."""
     if SOLVER.is_unsatisfiable(left):
         assert SOLVER.is_unsatisfiable(conj(left, right))
+
+
+# ----------------------------------------------------------------------
+# Per-component theory memo vs one monolithic theory check
+# ----------------------------------------------------------------------
+
+X, Y, Z, W = (intvar(n) for n in "xyzw")
+S, T, U = (strvar(n) for n in "stu")
+
+LITERAL_POOL = [
+    canonicalize(Comparison(op, lhs, rhs))
+    for op, lhs, rhs in [
+        ("<", X, Y), ("<=", Y, Z), ("=", X, const(1)), (">", Z, const(3)),
+        ("<", W, const(0)), ("=", add(W, X), const(2)), ("<>", Y, const(2)),
+        ("=", S, const("a")), ("=", T, const("a")), ("=", S, T),
+        ("=", U, const("b")), ("LIKE", U, const("a%")), ("LIKE", T, const("a")),
+        # Opaque atoms: a non-constant LIKE pattern and a non-linear term.
+        ("LIKE", S, U), (">", mul(X, Z), const(1)),
+    ]
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, len(LITERAL_POOL) - 1), st.booleans()),
+    max_size=9,
+))
+def test_component_memo_agrees_with_monolithic_check(picks):
+    """Differential: the split, memoised check on a long-lived solver
+    gives check_literals' verdict on the whole set."""
+    literals = tuple(
+        (LITERAL_POOL[i].atom, LITERAL_POOL[i].positive == positive)
+        for i, positive in picks
+    )
+    assert SOLVER._theory_ok(literals) == check_literals(literals)
+    assert Solver()._theory_ok(literals) == check_literals(literals)
+
+
+def _literal(op, lhs, rhs, positive=True):
+    lit = canonicalize(Comparison(op, lhs, rhs))
+    return (lit.atom, lit.positive == positive)
+
+
+def test_shared_string_constant_links_components():
+    """x='a', y='a', x<>y: split apart, each part is SAT; joined, UNSAT."""
+    literals = (
+        _literal("=", S, const("a")),
+        _literal("=", T, const("a")),
+        _literal("=", S, T, positive=False),
+    )
+    assert components(literals[:2]) == [literals[:2]]
+    assert not check_literals(literals)
+    assert not Solver()._theory_ok(literals)
+
+
+def test_opaque_atom_with_both_polarities_stays_together():
+    opaque = _literal("LIKE", S, U)
+    literals = (opaque, _literal("<", X, Y), (opaque[0], not opaque[1]))
+    assert components(literals) == [
+        (literals[0], literals[2]), (literals[1],),
+    ]
+    assert not Solver()._theory_ok(literals)
+
+
+def test_disjoint_literals_are_memoised_per_component():
+    solver = Solver()
+    x_part = (_literal("<", X, const(1)), _literal(">", X, const(-1)))
+    z_part = (_literal("=", Z, const(4)),)
+    assert solver._theory_ok(x_part + z_part)
+    calls = solver.stats["theory_calls"]
+    assert calls == 2  # one check per component
+    # A new set sharing the x component only checks its new component.
+    assert solver._theory_ok(x_part + (_literal("=", W, const(5)),))
+    assert solver.stats["theory_calls"] == calls + 1

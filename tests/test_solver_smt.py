@@ -3,9 +3,15 @@
 from repro.logic.formulas import Comparison, FALSE, TRUE, conj, disj, neg
 from repro.logic.terms import add, const, div, intvar, mul, strvar
 from repro.solver import Solver
+from repro.solver.atoms import canonicalize
 
 A, B, C = intvar("A"), intvar("B"), intvar("C")
 S, T = strvar("S"), strvar("T")
+
+
+def canonicalize_literal(comparison):
+    literal = canonicalize(comparison)
+    return (literal.atom, literal.positive)
 
 
 def cmp(op, lhs, rhs):
@@ -158,6 +164,54 @@ class TestCaching:
         assert local._theory_ok(literals)
         assert local.stats["theory_calls"] == calls  # served from cache
         assert local.stats["theory_cache_hits"] >= 1
+
+    def test_full_theory_cache_evicts_only_its_oldest_entry(self, monkeypatch):
+        from repro.solver import smt
+
+        monkeypatch.setattr(smt, "_THEORY_CACHE_LIMIT", 3)
+        local = Solver()
+        sets = [(canonicalize_literal(cmp("<", A, const(k))),) for k in range(4)]
+        local._theory_ok(sets[0])
+        local._theory_ok(sets[1])
+        local._theory_ok(sets[0])  # a hit makes it the most recent entry
+        local._theory_ok(sets[2])
+        local._theory_ok(sets[3])  # overflow: only sets[1] is evicted
+        assert list(local._theory_cache) == [
+            frozenset(sets[k]) for k in (0, 2, 3)
+        ]
+
+    def test_full_core_cache_evicts_only_its_oldest_entry(self, monkeypatch):
+        from repro.solver import smt
+
+        monkeypatch.setattr(smt, "_CORE_CACHE_LIMIT", 2)
+        local = Solver()
+        conflicts = []
+        for k in range(3):
+            low = canonicalize_literal(cmp(">", A, const(10 + k)))
+            high = canonicalize_literal(cmp("<", A, const(k)))
+            conflicts.append((low, high))
+            local._shrink_core(conflicts[-1])
+        assert list(local._core_cache) == [
+            frozenset(c) for c in conflicts[1:]
+        ]
+
+    def test_intern_table_resets_with_the_prefix_cache(self, monkeypatch):
+        from repro.solver import smt
+
+        monkeypatch.setattr(smt, "_INTERN_LIMIT", 3)
+        local = Solver()
+        first = canonicalize_literal(cmp("<", A, B))
+        second = canonicalize_literal(cmp("<", B, C))
+        assert local.literal_bits([first, second]) == [1, 2]
+        assert local.literal_bits([first]) == [1]  # already interned
+        local._prefix_cache.put(3, True)
+        epoch = local.intern_epoch
+        third = canonicalize_literal(cmp("<", A, C))
+        fourth = canonicalize_literal(cmp("=", A, C))
+        # Two new ids would pass the limit: everything restarts.
+        assert local.literal_bits([third, fourth]) == [1, 2]
+        assert local.intern_epoch == epoch + 1
+        assert not local._prefix_cache
 
     def test_reset_stats_clears_theory_caches(self):
         local = Solver()
