@@ -42,13 +42,6 @@ class Repair:
     def __len__(self):
         return len(self.fixes)
 
-    def describe(self, predicate):
-        lines = []
-        for path, fix in self.fixes:
-            original = node_at(predicate, path)
-            lines.append(f"{original}  ->  {fix}")
-        return "\n".join(lines)
-
 
 def repair_cost(repair, predicate, target, weight=DEFAULT_SITE_WEIGHT):
     """``Cost(S, F)`` per Definition 3."""

@@ -121,7 +121,10 @@ def _atoms_outside(predicate, paths):
 
 
 def _eval_with_sites(node, path, sites, mapping, a_assign, s_assign):
-    """Evaluate the predicate with (possibly merged) sites as variables."""
+    """Evaluate the predicate with (possibly merged) sites as variables.
+
+    The per-row reference for :func:`_rows_with_sites`.
+    """
     for index, site in enumerate(sites):
         if path in site.paths and not site.is_group:
             return bool(s_assign & (1 << index))
@@ -156,21 +159,71 @@ def _eval_with_sites(node, path, sites, mapping, a_assign, s_assign):
     raise TypeError(f"unexpected node {node!r}")
 
 
+def _rows_with_sites(node, path, sites, mapping, s_assign, full):
+    """:func:`_eval_with_sites` under every atom assignment at once.
+
+    Returns an int with bit ``a`` set iff the predicate holds under atom
+    assignment ``a`` and site assignment ``s_assign`` (see
+    :meth:`~repro.core.minfix.AtomMapping.rows`); ``full`` has every row
+    bit set.
+    """
+    for index, site in enumerate(sites):
+        if path in site.paths and not site.is_group:
+            return full if s_assign & (1 << index) else 0
+    if isinstance(node, (BoolConst, Comparison)):
+        return mapping.rows(node)
+    if isinstance(node, Not):
+        return full ^ _rows_with_sites(
+            node.child, path + (0,), sites, mapping, s_assign, full
+        )
+    if isinstance(node, (And, Or)):
+        is_and = isinstance(node, And)
+        out = full if is_and else 0
+        group_done = set()
+        for i, child in enumerate(node.children()):
+            child_path = path + (i,)
+            member_of = None
+            for index, site in enumerate(sites):
+                if site.is_group and child_path in site.paths:
+                    member_of = index
+                    break
+            if member_of is not None:
+                if member_of in group_done:
+                    continue
+                group_done.add(member_of)
+                value = full if s_assign & (1 << member_of) else 0
+            else:
+                value = _rows_with_sites(
+                    child, child_path, sites, mapping, s_assign, full
+                )
+            out = out & value if is_and else out | value
+        return out
+    raise TypeError(f"unexpected node {node!r}")
+
+
 def _init_feasibility(predicate, sites, mapping, target_table, num_s):
-    """Algorithm 8, ``InitFeasibility``."""
+    """Algorithm 8, ``InitFeasibility``.
+
+    The predicate is evaluated bit-parallel over the atom assignments,
+    once per site assignment (``_eval_with_sites`` is the per-row
+    reference).
+    """
+    full = (1 << (1 << mapping.num_vars)) - 1
+    site_rows = [
+        _rows_with_sites(predicate, (), sites, mapping, s_assign, full)
+        for s_assign in range(2**num_s)
+    ]
     feasibility = {}
     for a_assign in range(2**mapping.num_vars):
         target = target_table.output(a_assign)
         if target == DONT_CARE:
             feasibility[a_assign] = IRRELEVANT
             continue
-        options = set()
-        for s_assign in range(2**num_s):
-            value = _eval_with_sites(
-                predicate, (), sites, mapping, a_assign, s_assign
-            )
-            if int(value) == target:
-                options.add(s_assign)
+        options = {
+            s_assign
+            for s_assign, rows in enumerate(site_rows)
+            if (rows >> a_assign) & 1 == target
+        }
         if not options:
             raise RepairError(
                 "no feasible site assignment for a required truth row; "
@@ -209,12 +262,13 @@ def _pick_site(feasibility, remaining, num_a):
 
 def _update_feasibility(feasibility, index, fix_formula, mapping):
     """Algorithm 8, ``UpdateFeasibility``: wire site ``index`` to its fix."""
+    fix_rows = mapping.rows(fix_formula)
     updated = {}
     for a_assign, options in feasibility.items():
         if options == IRRELEVANT:
             updated[a_assign] = IRRELEVANT
             continue
-        value = mapping.evaluate(fix_formula, a_assign)
+        value = bool((fix_rows >> a_assign) & 1)
         narrowed = {u for u in options if bool(u & (1 << index)) == value}
         if not narrowed:
             raise RepairError("feasibility collapsed while wiring a site fix")

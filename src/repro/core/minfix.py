@@ -9,8 +9,11 @@ inside the bound:
    variables;
 2. ``BuildTruthTable`` enumerates truth assignments, marking theory-
    infeasible rows and bound-gap rows as don't-cares.  Prefix feasibility
-   is keyed by interned literal bits (an int OR per DFS node) and decided
-   by the solver's per-component theory memo;
+   is keyed by interned literal bits -- each DFS node ORs one bit onto the
+   key its parent carried down -- and decided by the solver's
+   per-component theory memo.  The bounds of every row come from
+   :meth:`AtomMapping.rows`, one big int per bound formula with bit ``r``
+   set iff it holds under assignment ``r``, computed once per table;
 3. ``MinBoolExp`` minimizes the resulting partial function -- primes as
    minimal hitting sets of the on/off blocking masks, then a Petrick (or
    greedy) cover -- and the chosen implicants are rendered back over the
@@ -19,7 +22,7 @@ inside the bound:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.boolmin import DONT_CARE, TruthTable, min_bool_exp, minimize_table
 from repro.boolmin.minimize import implicants_to_formula
@@ -45,26 +48,36 @@ class AtomMapping:
 
     atoms: list  # representative Comparison per Boolean variable
     polarity: dict  # original atom -> (var_index, positive)
+    #: ``(patterns, full)`` for :meth:`rows`, built on first use.
+    _row_masks: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_vars(self):
         return len(self.atoms)
 
+    def _literal(self, atom):
+        """``(var_index, positive)`` of a mapped atom or its complement."""
+        entry = self.polarity.get(atom)
+        if entry is not None:
+            return entry
+        # Minimized formulas render negative literals as negated atoms;
+        # map them back through the complement.
+        complement = self.polarity.get(atom.negated())
+        if complement is None:
+            raise KeyError(f"atom not in mapping: {atom}")
+        return complement[0], not complement[1]
+
     def evaluate(self, formula, assignment):
-        """Evaluate ``formula`` propositionally under the assignment."""
+        """Evaluate ``formula`` propositionally under the assignment.
+
+        The slow reference for :meth:`rows`.
+        """
         if isinstance(formula, BoolConst):
             return formula.value
         if isinstance(formula, Comparison):
-            entry = self.polarity.get(formula)
-            if entry is None:
-                # Minimized formulas render negative literals as negated
-                # atoms; map them back through the complement.
-                complement = self.polarity.get(formula.negated())
-                if complement is None:
-                    raise KeyError(f"atom not in mapping: {formula}")
-                index, positive = complement[0], not complement[1]
-            else:
-                index, positive = entry
+            index, positive = self._literal(formula)
             bit = bool(assignment & (1 << index))
             return bit if positive else not bit
         if isinstance(formula, Not):
@@ -73,6 +86,54 @@ class AtomMapping:
             return all(self.evaluate(c, assignment) for c in formula.operands)
         if isinstance(formula, Or):
             return any(self.evaluate(c, assignment) for c in formula.operands)
+        raise TypeError(f"unexpected formula {formula!r}")
+
+    def rows(self, formula):
+        """:meth:`evaluate` under every assignment at once.
+
+        Returns an int whose bit ``r`` is set iff ``formula`` holds under
+        assignment ``r`` (of ``2**num_vars``): one big-int ``&``, ``|``
+        or ``full ^`` per connective instead of a tree walk per row.
+        """
+        if self._row_masks is None:
+            self._row_masks = self._row_patterns()
+        patterns, full = self._row_masks
+        return self._rows(formula, patterns, full)
+
+    def _row_patterns(self):
+        """Per variable, the rows with its bit set; and the all-rows mask."""
+        size = 1 << self.num_vars
+        patterns = []
+        for index in range(self.num_vars):
+            half = 1 << index
+            # One period: 2**index rows with the bit clear, then set;
+            # doubled until it spans every row.
+            pattern = ((1 << half) - 1) << half
+            width = half << 1
+            while width < size:
+                pattern |= pattern << width
+                width <<= 1
+            patterns.append(pattern)
+        return patterns, (1 << size) - 1
+
+    def _rows(self, formula, patterns, full):
+        if isinstance(formula, Comparison):
+            index, positive = self._literal(formula)
+            return patterns[index] if positive else full ^ patterns[index]
+        if isinstance(formula, BoolConst):
+            return full if formula.value else 0
+        if isinstance(formula, Not):
+            return full ^ self._rows(formula.child, patterns, full)
+        if isinstance(formula, And):
+            out = full
+            for operand in formula.operands:
+                out &= self._rows(operand, patterns, full)
+            return out
+        if isinstance(formula, Or):
+            out = 0
+            for operand in formula.operands:
+                out |= self._rows(operand, patterns, full)
+            return out
         raise TypeError(f"unexpected formula {formula!r}")
 
 
@@ -85,7 +146,7 @@ def map_atom_preds(formulas, solver, context=()):
     canonical-form misses fall back to the pairwise ``is_equiv`` scan,
     which can still discover context-dependent equivalences.
     """
-    from repro.solver.atoms import CanonicalLiteral, canonicalize
+    from repro.solver.atoms import CanonicalLiteral
 
     atoms = []
     polarity = {}
@@ -96,7 +157,7 @@ def map_atom_preds(formulas, solver, context=()):
         for atom in formula.atoms():
             if atom in polarity:
                 continue
-            literal = canonicalize(atom)
+            literal = solver.canonicalize(atom)
             if not isinstance(literal, CanonicalLiteral):
                 literal = None
             mapped = None
@@ -147,11 +208,22 @@ def build_truth_table(mapping, lower, upper, solver, context=()):
     without any solver work at all -- the subtree is don't-cared outright
     (counter: ``core_pruned_subtrees``) even though this particular prefix
     was never queried.
+
+    On the theory-direct path each node's prefix key (the OR of interned
+    literal bits) is its parent's key plus one bit, carried down the DFS
+    together with the intern epoch it belongs to; a node recomputes it
+    from scratch only when ``solver.intern_epoch`` has moved since.  The
+    bound values of a feasible leaf are read off ``mapping.rows`` of
+    ``lower`` and ``upper``, computed once per table.
     """
-    table = TruthTable(mapping.num_vars)
+    num_vars = mapping.num_vars
+    table = TruthTable(num_vars)
     checker = _FeasibilityChecker(mapping, solver, context)
     cores = checker.cores
+    keyed = checker.keyed
     stats = getattr(solver, "stats", None)
+    low_rows = mapping.rows(lower)
+    high_rows = mapping.rows(upper)
     # The theory-direct fast path never enters the solver's DPLL(T) loop
     # (and so never hits its deadline checkpoint); poll the attached
     # deadline here every 64 DFS nodes instead.
@@ -159,15 +231,7 @@ def build_truth_table(mapping, lower, upper, solver, context=()):
     poll_stride = 64
     polls = 0
 
-    def record(assignment):
-        low = mapping.evaluate(lower, assignment)
-        high = mapping.evaluate(upper, assignment)
-        if low == high:
-            table.set(assignment, 1 if low else 0)
-        else:
-            table.set(assignment, DONT_CARE)
-
-    def dfs(index, assignment):
+    def dfs(index, assignment, key, epoch):
         nonlocal polls
         if deadline is not None:
             polls += 1
@@ -185,18 +249,39 @@ def build_truth_table(mapping, lower, upper, solver, context=()):
                         stats.get("core_pruned_subtrees", 0) + 1
                     )
                 return
-        if not checker.feasible_prefix(assignment, index):
+        if keyed:
+            if epoch != solver.intern_epoch:
+                key = checker.prefix_key(assignment, index)
+                epoch = solver.intern_epoch
+            feasible = checker.feasible_key(key, assignment, index)
+        else:
+            feasible = checker.feasible_prefix(assignment, index)
+        if not feasible:
             # Every completion of the infeasible prefix shares the low bits:
             # the subtree is exactly range(assignment, 2**n, 2**index).
             table.fill_stride(assignment, bound, DONT_CARE)
             return
-        if index == mapping.num_vars:
-            record(assignment)
+        if index == num_vars:
+            low = (low_rows >> assignment) & 1
+            if low == (high_rows >> assignment) & 1:
+                table.set(assignment, low)
+            else:
+                table.set(assignment, DONT_CARE)
             return
-        dfs(index + 1, assignment)
-        dfs(index + 1, assignment | (1 << index))
+        if keyed:
+            # The epoch check above re-interned if needed, so these bits
+            # belong to ``epoch``.
+            when_set, when_clear = checker.pair_bits[index]
+            dfs(index + 1, assignment, key | when_clear, epoch)
+            dfs(index + 1, assignment | bound, key | when_set, epoch)
+        else:
+            dfs(index + 1, assignment, None, None)
+            dfs(index + 1, assignment | bound, None, None)
 
-    dfs(0, 0)
+    if keyed:
+        dfs(0, 0, checker.context_mask, checker.epoch)
+    else:
+        dfs(0, 0, None, None)
     return table
 
 
@@ -205,11 +290,13 @@ class _FeasibilityChecker:
 
     When every atom and context conjunct canonicalizes, prefix queries go
     straight to the theory layer (no SAT search at all).  Each theory
-    literal is interned once to a bit of the owning solver, so a DFS node
-    keys its prefix by an int OR of precomputed bits; only a miss in the
-    solver's prefix cache builds the literal tuple.  Otherwise a
-    single incremental :class:`~repro.solver.smt.FeasibilitySession` is
-    shared by the whole truth-table DFS: the context is encoded once, the
+    literal is interned once to a bit of the owning solver, so a prefix is
+    keyed by an int OR of precomputed bits (:meth:`prefix_key` from
+    scratch; the truth-table DFS extends its parent's key by one bit) and
+    only a miss in the solver's prefix cache builds the literal tuple.
+    Otherwise a single incremental
+    :class:`~repro.solver.smt.FeasibilitySession` is shared by the whole
+    truth-table DFS: the context is encoded once, the
     SAT trail persists between prefixes (consecutive DFS nodes share long
     assumption prefixes), and theory lemmas learned under one prefix prune
     every later one -- instead of a fresh feasibility solve per node.
@@ -220,6 +307,8 @@ class _FeasibilityChecker:
         self.solver = solver
         self.context = tuple(context)
         self._literals = self._try_canonicalize()
+        #: True on the theory-direct path, where prefixes have bit keys.
+        self.keyed = self._literals is not None
         self._context_prefix = None
         self._atom_pairs = None
         self._session = None
@@ -229,7 +318,7 @@ class _FeasibilityChecker:
         #: refute whole subtrees without a query.
         self.cores = []
         self._core_keys = set()
-        if self._literals is not None:
+        if self.keyed:
             atom_literals, context_literals = self._literals
             # Canonical-order the context once; per-prefix queries then just
             # append atom literals in index order (the theory cache keys on
@@ -251,8 +340,9 @@ class _FeasibilityChecker:
 
     def _try_canonicalize(self):
         from repro.logic.formulas import And as _And, BoolConst as _BoolConst
-        from repro.solver.atoms import CanonicalLiteral, canonicalize
+        from repro.solver.atoms import CanonicalLiteral
 
+        canonicalize = self.solver.canonicalize
         atom_literals = []
         for atom in self.mapping.atoms:
             lit = canonicalize(atom)
@@ -288,12 +378,14 @@ class _FeasibilityChecker:
         bits = self.solver.literal_bits(
             context + tuple(literal for pair in pairs for literal in pair)
         )
-        self._epoch = self.solver.intern_epoch
-        self._context_mask = 0
+        #: The intern epoch the bits below belong to.
+        self.epoch = self.solver.intern_epoch
+        self.context_mask = 0
         for bit in bits[:len(context)]:
-            self._context_mask |= bit
+            self.context_mask |= bit
         rest = bits[len(context):]
-        self._pair_bits = [
+        #: Per atom, the bits of its ``(set, clear)`` literals.
+        self.pair_bits = [
             (rest[2 * i], rest[2 * i + 1]) for i in range(len(pairs))
         ]
 
@@ -306,18 +398,31 @@ class _FeasibilityChecker:
         return tuple(literals)
 
     def feasible_prefix(self, assignment, length):
-        if self._literals is None:
+        """Is the polarity prefix consistent with the context?  Any call
+        order is fine: the key is built from scratch."""
+        if not self.keyed:
             return self._feasible_slow(assignment, length)
-        solver = self.solver
-        if self._epoch != solver.intern_epoch:
+        return self.feasible_key(
+            self.prefix_key(assignment, length), assignment, length
+        )
+
+    def prefix_key(self, assignment, length):
+        """The prefix's OR of interned bits in the solver's current
+        epoch (re-interning first if the epoch moved)."""
+        if self.epoch != self.solver.intern_epoch:
             self._intern()
-        key = self._context_mask
-        pair_bits = self._pair_bits
+        key = self.context_mask
+        pair_bits = self.pair_bits
         for i in range(length):
             when_set, when_clear = pair_bits[i]
             key |= when_set if assignment & (1 << i) else when_clear
+        return key
+
+    def feasible_key(self, key, assignment, length):
+        """:meth:`feasible_prefix` given the prefix's current-epoch key."""
         if not key:
             return True  # no literals at all
+        solver = self.solver
         if solver.prefix_ok(
             key, lambda: self._prefix_literals(assignment, length)
         ):

@@ -7,7 +7,12 @@ keeps the cheapest correct repair found.  Early-stops once the per-site
 cost penalty alone exceeds the best cost so far.
 
 A trace of every viable repair found (timestamp, cost, sites) is recorded,
-reproducing Figure 4 of the paper.
+reproducing Figure 4 of the paper.  A viable site set whose fix derivation
+fails (``SolverLimitError``: the MinFix atom or variable budget;
+``RepairError``) is skipped, since the search can go on without it, but
+never silently: the skip is counted on :class:`RepairResult`, in the
+solver's ``derive_failures`` effort counter, and in the journal, because
+the skipped set may have held the cheapest repair.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.core.derive_fixes import derive_fixes
 from repro.core.derive_opt import min_fix_mult
 from repro.errors import RepairError, SolverLimitError
 from repro.logic.paths import disjoint_path_sets, repairable_paths
+from repro.obs.journal import JOURNAL
 from repro.solver import default_solver
 
 
@@ -50,6 +56,9 @@ class RepairResult:
     elapsed: float = 0.0
     first_viable_elapsed: float | None = None
     sites_considered: int = 0
+    #: Exception type name -> viable site sets skipped because deriving
+    #: their fixes raised it.  Nonzero means the repair may not be minimal.
+    derive_failures: dict = field(default_factory=dict)
 
     @property
     def found(self):
@@ -93,7 +102,14 @@ def repair_where(
                 fixes = _derive(
                     predicate, sites, target, solver, context, optimized
                 )
-            except (SolverLimitError, RepairError):
+            except (SolverLimitError, RepairError) as exc:
+                name = type(exc).__name__
+                failures = result.derive_failures
+                failures[name] = failures.get(name, 0) + 1
+                solver.stats["derive_failures"] += 1
+                JOURNAL.record(
+                    "where.derive_failed", error=name, sites=len(sites)
+                )
                 continue
             repair = Repair.of(fixes)
             cost = repair_cost(repair, predicate, target, weight)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.logic.hashmemo import hash_slot, memo_hash
 from repro.logic.terms import Term
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=", "LIKE", "NOT LIKE")
@@ -118,13 +119,15 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class Comparison(Formula):
     """An atomic predicate ``left op right``."""
 
     op: str
     left: Term
     right: Term
+    _hash: int | None = hash_slot()
 
     def __post_init__(self):
         if self.op not in COMPARISON_OPS:
@@ -155,11 +158,13 @@ class Comparison(Formula):
         return str(self)
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     """Logical negation with exactly one child."""
 
     child: Formula
+    _hash: int | None = hash_slot()
 
     def children(self):
         return (self.child,)
@@ -193,11 +198,13 @@ class _NaryOp(Formula):
         return str(self)
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class And(_NaryOp):
     """Logical conjunction over two or more children."""
 
     operands: tuple[Formula, ...]
+    _hash: int | None = hash_slot()
 
     NAME = "AND"
 
@@ -206,11 +213,13 @@ class And(_NaryOp):
             raise ValueError("And requires at least two operands")
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class Or(_NaryOp):
     """Logical disjunction over two or more children."""
 
     operands: tuple[Formula, ...]
+    _hash: int | None = hash_slot()
 
     NAME = "OR"
 

@@ -10,10 +10,11 @@ linearize identically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.catalog import SqlType
+from repro.logic.hashmemo import hash_slot, memo_hash
 from repro.logic.terms import AggCall, Arith, Const, Neg, Term, Var
 
 
@@ -21,12 +22,14 @@ class NonLinearError(Exception):
     """Raised when a term has no linear form (e.g. ``x * y``)."""
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class LinExpr:
     """An immutable linear expression over opaque numeric base terms."""
 
     coeffs: tuple[tuple[Term, Fraction], ...]  # sorted by repr, no zeros
     constant: Fraction = Fraction(0)
+    _hash: int | None = hash_slot()
 
     @staticmethod
     def build(coeffs, constant):

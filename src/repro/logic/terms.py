@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.catalog import SqlType
+from repro.logic.hashmemo import hash_slot, memo_hash
 
 ARITH_OPS = ("+", "-", "*", "/")
 AGG_FUNCS = ("SUM", "AVG", "COUNT", "MIN", "MAX")
@@ -65,12 +66,14 @@ def _collect_aggs(term, out):
         _collect_aggs(child, out)
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     """A free variable (typically a resolved column reference ``alias.col``)."""
 
     name: str
     vtype: SqlType
+    _hash: int | None = hash_slot()
 
     @property
     def type(self):
@@ -83,12 +86,14 @@ class Var(Term):
         return f"Var({self.name}:{self.vtype.value})"
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     """A literal constant.  Numeric values are stored as :class:`Fraction`."""
 
     value: object
     vtype: SqlType
+    _hash: int | None = hash_slot()
 
     @staticmethod
     def of(value):
@@ -122,13 +127,15 @@ class Const(Term):
         return f"Const({self})"
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class Arith(Term):
     """A binary arithmetic expression ``left op right``."""
 
     op: str
     left: Term
     right: Term
+    _hash: int | None = hash_slot()
 
     def __post_init__(self):
         if self.op not in ARITH_OPS:
@@ -147,11 +154,13 @@ class Arith(Term):
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class Neg(Term):
     """Unary arithmetic negation ``-child``."""
 
     child: Term
+    _hash: int | None = hash_slot()
 
     @property
     def type(self):
@@ -164,7 +173,8 @@ class Neg(Term):
         return f"(-{self.child})"
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class AggCall(Term):
     """An aggregate function call, e.g. ``SUM(price * 2)``.
 
@@ -175,6 +185,7 @@ class AggCall(Term):
     func: str
     arg: Term | None = None
     distinct: bool = False
+    _hash: int | None = hash_slot()
 
     def __post_init__(self):
         if self.func not in AGG_FUNCS:

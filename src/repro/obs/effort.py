@@ -45,6 +45,7 @@ EFFORT_KEYS = (
     "unsat_cores",
     "unsat_core_literals",
     "core_pruned_subtrees",
+    "derive_failures",
 )
 
 

@@ -18,7 +18,9 @@ Event sources (see ``docs/observability.md``):
   :data:`CHRONO_SAMPLE` backtracks, so enumeration-bound solves stay
   visible without a per-backtrack record);
 * witness generation -- guided-search fallbacks (the solver model path
-  failed and the luck-dependent search ran).
+  failed and the luck-dependent search ran);
+* WHERE repair -- viable site sets skipped because deriving their fixes
+  failed (``where.derive_failed``: exception type, site count).
 
 Recording discipline: :meth:`Journal.record` is one ``enabled`` check,
 one ``time.time()`` call, one small dict, and one GIL-atomic

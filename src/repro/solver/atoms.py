@@ -20,27 +20,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.catalog import SqlType
+from repro.logic.hashmemo import hash_slot, memo_hash
 from repro.logic.linear import LinExpr, try_linearize
 from repro.logic.terms import Const
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class Atom:
     """A canonical theory atom."""
 
     kind: str  # "num_le" | "num_eq" | "str_eq" | "str_like" | "opaque"
     payload: object
+    _hash: int | None = hash_slot()
 
     def __str__(self):
         return f"{self.kind}:{self.payload}"
 
 
-@dataclass(frozen=True)
+@memo_hash
+@dataclass(frozen=True, slots=True)
 class CanonicalLiteral:
     """A canonical atom plus the polarity of the original comparison."""
 
     atom: Atom
     positive: bool
+    _hash: int | None = hash_slot()
 
 
 def _normalize_le(expr):

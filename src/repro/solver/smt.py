@@ -55,6 +55,7 @@ _MISS = object()  # cache-miss sentinel (None is not a legal verdict)
 _THEORY_CACHE_LIMIT = 200_000
 _CORE_CACHE_LIMIT = 50_000
 _PREFIX_CACHE_LIMIT = 200_000
+_CANON_CACHE_LIMIT = 50_000
 # Interned theory literals: a prefix key has one bit per literal id, so the
 # intern table (and with it every prefix key) is reset past this size.
 _INTERN_LIMIT = 4096
@@ -154,6 +155,8 @@ class Solver:
         # ``1 << id`` over a literal set -> verdict (see literal_bits).
         self._literal_ids = {}
         self._prefix_cache = LruCache(_PREFIX_CACHE_LIMIT)
+        # Comparison -> canonicalize(comparison); see canonicalize().
+        self._canon_cache = LruCache(_CANON_CACHE_LIMIT)
         #: Bumped whenever the intern table resets; holders of literal
         #: bits must re-intern when it changes.
         self.intern_epoch = 0
@@ -173,6 +176,9 @@ class Solver:
             "chrono_backtracks": 0,
             "saved_trail_literals": 0,
             "core_pruned_subtrees": 0,
+            # Viable WHERE site sets skipped because deriving their fixes
+            # failed (counted by repair_where; see RepairResult).
+            "derive_failures": 0,
         }
 
     # ------------------------------------------------------------------
@@ -470,6 +476,21 @@ class Solver:
         self.stats["theory_calls"] += 1
         return check_literals(literals)
 
+    def canonicalize(self, comparison):
+        """:func:`repro.solver.atoms.canonicalize`, memoised per solver.
+
+        A grade canonicalizes the same few hundred atoms thousands of
+        times (atom mapping, feasibility checkers, every Tseitin
+        abstraction).  The answer is a pure function of the comparison,
+        so :meth:`reset_stats` keeps it, like ``_sat_cache``.
+        """
+        cache = self._canon_cache
+        result = cache.hit(comparison)
+        if result is _MISS:
+            result = canonicalize(comparison)
+            cache.put(comparison, result)
+        return result
+
     def literal_bits(self, literals):
         """``1 << id`` for each theory literal, interning new ones.
 
@@ -559,7 +580,7 @@ class Solver:
         if isinstance(formula, BoolConst):
             return formula.value
         if isinstance(formula, Comparison):
-            canonical = canonicalize(formula)
+            canonical = self.canonicalize(formula)
             if isinstance(canonical, bool):
                 return canonical
             assert isinstance(canonical, CanonicalLiteral)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bounds import bounds_admit, create_bounds
+from repro.boolmin import DONT_CARE, TruthTable
 from repro.core.minfix import (
+    AtomMapping,
     _FeasibilityChecker,
     build_truth_table,
     map_atom_preds,
@@ -12,9 +14,11 @@ from repro.core.minfix import (
     min_fix_pos,
 )
 from repro.logic.formulas import (
+    And,
     Comparison,
     FALSE,
     Not,
+    Or,
     TRUE,
     conj,
     disj,
@@ -285,3 +289,179 @@ def test_checker_reinterns_after_the_intern_table_resets(monkeypatch):
                 literals = checker._prefix_literals(assignment, length)
                 expected = check_literals(literals) if literals else True
                 assert checker.feasible_prefix(assignment, length) == expected
+
+
+# ----------------------------------------------------------------------
+# Bit-parallel bound rows vs per-row evaluation
+# ----------------------------------------------------------------------
+
+ROW_ATOMS = [cmp("<", intvar(f"x{i}"), const(i)) for i in range(10)]
+
+
+def _row_formulas(num_vars):
+    """Formulas over the first ``num_vars`` ROW_ATOMS: atoms, their
+    negated-atom renderings, constants, NOT, AND and OR."""
+    leaves = st.one_of(
+        st.integers(0, num_vars - 1).map(lambda i: ROW_ATOMS[i]),
+        st.integers(0, num_vars - 1).map(lambda i: ROW_ATOMS[i].negated()),
+        st.sampled_from([TRUE, FALSE]),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.lists(sub, min_size=2, max_size=3).map(
+                lambda ops: And(tuple(ops))),
+            st.lists(sub, min_size=2, max_size=3).map(
+                lambda ops: Or(tuple(ops))),
+        ),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def row_cases(draw):
+    num_vars = draw(st.integers(1, 10))
+    # Some atoms also map their negated rendering directly (a merged
+    # complement); the rest reach it through the complement lookup.
+    direct = draw(st.lists(st.booleans(), min_size=num_vars,
+                           max_size=num_vars))
+    polarity = {}
+    for i in range(num_vars):
+        polarity[ROW_ATOMS[i]] = (i, True)
+        if direct[i]:
+            polarity[ROW_ATOMS[i].negated()] = (i, False)
+    mapping = AtomMapping(ROW_ATOMS[:num_vars], polarity)
+    return mapping, draw(_row_formulas(num_vars))
+
+
+def _truth(formula, assignment):
+    """Ground truth over ROW_ATOMS: atom ``i`` holds iff bit ``i`` is set."""
+    if formula in (TRUE, FALSE):
+        return formula == TRUE
+    if isinstance(formula, Comparison):
+        if formula in ROW_ATOMS:
+            return bool(assignment >> ROW_ATOMS.index(formula) & 1)
+        return not _truth(formula.negated(), assignment)
+    if isinstance(formula, Not):
+        return not _truth(formula.child, assignment)
+    values = [_truth(c, assignment) for c in formula.operands]
+    return all(values) if isinstance(formula, And) else any(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_cases())
+def test_rows_match_per_row_evaluate(case):
+    mapping, formula = case
+    rows = mapping.rows(formula)
+    assert 0 <= rows < 1 << (1 << mapping.num_vars)
+    for assignment in range(1 << mapping.num_vars):
+        expected = _truth(formula, assignment)
+        assert mapping.evaluate(formula, assignment) == expected
+        assert bool((rows >> assignment) & 1) == expected
+
+
+# ----------------------------------------------------------------------
+# DFS-carried prefix keys vs per-node feasible_prefix
+# ----------------------------------------------------------------------
+
+CHURN_ATOMS = [cmp("<", D, E), cmp("<", E, F), cmp("<", F, D),
+               cmp("=", D, const(0))]
+
+
+class _InternChurn:
+    """Stands in for a deadline: every poll (each 64 DFS nodes) interns
+    another checker's literals past the intern limit, bumping
+    ``intern_epoch``, and fills the prefix cache under the new ids, so a
+    stale carried key would collide with that checker's entries."""
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.other = map_atom_preds([disj(*CHURN_ATOMS)], solver)
+        self.polls = 0
+
+    def check(self, where=""):
+        self.polls += 1
+        other = _FeasibilityChecker(self.other, self.solver, ())
+        for length in range(len(CHURN_ATOMS) + 1):
+            for assignment in range(1 << length):
+                other.feasible_prefix(assignment, length)
+
+
+def _per_node_table(mapping, lower, upper, solver, context):
+    """BuildTruthTable's reference: a from-scratch feasible_prefix at every
+    DFS node, no cores, and evaluate on every feasible leaf."""
+    checker = _FeasibilityChecker(mapping, solver, context)
+    table = TruthTable(mapping.num_vars)
+
+    def dfs(index, assignment):
+        if not checker.feasible_prefix(assignment, index):
+            table.fill_stride(assignment, 1 << index, DONT_CARE)
+            return
+        if index == mapping.num_vars:
+            low = mapping.evaluate(lower, assignment)
+            high = mapping.evaluate(upper, assignment)
+            table.set(assignment, int(low) if low == high else DONT_CARE)
+            return
+        dfs(index + 1, assignment)
+        dfs(index + 1, assignment | (1 << index))
+
+    dfs(0, 0)
+    return table
+
+
+keyed_cases = st.tuples(
+    st.lists(st.integers(0, len(PREFIX_POOL) - 1), min_size=3, max_size=8,
+             unique=True),
+    st.lists(st.integers(0, len(PREFIX_POOL) - 1), max_size=2),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keyed_cases)
+def test_carried_key_tables_match_per_node_tables(case):
+    atom_ids, context_ids, churn = case
+    lower, upper, context = _bounds(atom_ids, context_ids)
+    solver = Solver()
+    mapping = map_atom_preds([lower, upper], solver, context)
+    reference = _per_node_table(mapping, lower, upper, Solver(), context)
+    if churn:
+        # Every re-intern resets the table: each poll moves the epoch.
+        solver_limit = max(2 * mapping.num_vars + len(context),
+                           2 * len(CHURN_ATOMS))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(smt, "_INTERN_LIMIT", solver_limit)
+            solver.deadline = _InternChurn(solver)
+            table = build_truth_table(mapping, lower, upper, solver, context)
+    else:
+        table = build_truth_table(mapping, lower, upper, solver, context)
+    assert table.outputs == reference.outputs
+
+
+def test_carried_keys_survive_intern_resets_mid_dfs(monkeypatch):
+    atoms = [cmp("<", intvar(f"x{i}"), const(i)) for i in range(6)]
+    atoms += [cmp(">", intvar("x0"), const(3)), cmp("<", A, B)]
+    lower, upper = conj(*atoms[:3]), disj(*atoms)
+    solver = Solver()
+    mapping = map_atom_preds([lower, upper], solver)
+    monkeypatch.setattr(smt, "_INTERN_LIMIT", 2 * mapping.num_vars)
+    churn = solver.deadline = _InternChurn(solver)
+    epoch = solver.intern_epoch
+    table = build_truth_table(mapping, lower, upper, solver)
+    assert churn.polls >= 2 and solver.intern_epoch >= epoch + 2 * churn.polls
+    reference = _per_node_table(mapping, lower, upper, Solver(), ())
+    assert table.outputs == reference.outputs
+
+
+def test_expired_deadline_stops_the_theory_direct_dfs():
+    from repro.service.deadline import Deadline, DeadlineExceeded
+
+    atoms = [cmp("<", intvar(f"x{i}"), const(i)) for i in range(8)]
+    lower, upper = conj(*atoms[:2]), disj(*atoms)
+    solver = Solver()
+    mapping = map_atom_preds([lower, upper], solver)
+    assert _FeasibilityChecker(mapping, solver, ()).keyed
+    solver.deadline = Deadline.after_ms(0.0)
+    with pytest.raises(DeadlineExceeded, match="minfix"):
+        build_truth_table(mapping, lower, upper, solver)

@@ -153,3 +153,56 @@ class TestMinFixMult:
         p_star = disj(cmp("=", A, const(5)), cmp("=", C, const(1)))
         with pytest.raises(RepairError):
             min_fix_mult(p, [(0,)], p_star, p_star, solver)
+
+
+# ----------------------------------------------------------------------
+# Bit-parallel InitFeasibility rows vs per-row _eval_with_sites
+# ----------------------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.core.derive_opt import (  # noqa: E402
+    _eval_with_sites,
+    _merge_sibling_sites,
+    _rows_with_sites,
+)
+from repro.core.minfix import AtomMapping  # noqa: E402
+from repro.logic.formulas import And, Or  # noqa: E402
+from repro.logic.paths import disjoint_path_sets, repairable_paths  # noqa: E402
+
+SITE_ATOMS = [cmp("<", intvar(f"y{i}"), const(i)) for i in range(6)]
+
+site_predicates = st.recursive(
+    st.one_of(st.sampled_from(SITE_ATOMS), st.sampled_from([TRUE, FALSE])),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.lists(sub, min_size=2, max_size=3).map(lambda ops: And(tuple(ops))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda ops: Or(tuple(ops))),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def site_cases(draw):
+    predicate = draw(site_predicates)
+    size = draw(st.integers(1, 3))
+    site_sets = list(disjoint_path_sets(repairable_paths(predicate), size))
+    if not site_sets:
+        site_sets = [((),)]
+    paths = draw(st.sampled_from(site_sets))
+    return predicate, _merge_sibling_sites(predicate, list(paths))
+
+
+@settings(max_examples=200, deadline=None)
+@given(site_cases())
+def test_site_rows_match_per_row_eval(case):
+    predicate, sites = case
+    mapping = AtomMapping(
+        SITE_ATOMS, {atom: (i, True) for i, atom in enumerate(SITE_ATOMS)})
+    full = (1 << (1 << mapping.num_vars)) - 1
+    for s_assign in range(1 << len(sites)):
+        rows = _rows_with_sites(predicate, (), sites, mapping, s_assign, full)
+        for a_assign in range(1 << mapping.num_vars):
+            assert bool((rows >> a_assign) & 1) == _eval_with_sites(
+                predicate, (), sites, mapping, a_assign, s_assign)

@@ -148,3 +148,35 @@ class TestRepairWhere:
         assert result.found
         assert len(result.repair) == 1  # forced into one (larger) site
         assert verify_repair(p, p_star, result.repair, solver)
+
+
+def test_site_sets_skipped_on_derive_failure_are_counted(monkeypatch):
+    """A site set whose MinFix exceeds the atom budget is skipped, and the
+    skip shows on the result, in the effort delta and in the journal."""
+    from repro.core import minfix
+    from repro.obs import JOURNAL, EffortMeter
+    from repro.solver import Solver
+
+    target = conj(cmp(">", A, const(3)),
+                  disj(cmp("<", B, const(5)), cmp("=", C, const(1))))
+    predicate = conj(cmp(">", A, const(4)),
+                     disj(cmp("<", B, const(5)), cmp("=", C, const(2))))
+    solver = Solver()
+    clean = repair_where(predicate, target, solver=solver)
+    assert clean.derive_failures == {}
+    assert solver.stats["derive_failures"] == 0
+
+    # Only the site set {A > 4, B < 5} needs a 4-atom MinFix.
+    monkeypatch.setattr(minfix, "MAX_UNIQUE_ATOMS", 3)
+    before = {e["seq"] for e in JOURNAL.tail()}
+    solver = Solver()
+    with EffortMeter(solver) as meter:
+        result = repair_where(predicate, target, solver=solver)
+    assert result.derive_failures == {"SolverLimitError": 1}
+    assert meter.delta["derive_failures"] == 1
+    events = [e for e in JOURNAL.tail()
+              if e["kind"] == "where.derive_failed" and e["seq"] not in before]
+    assert [(e["error"], e["sites"]) for e in events] == [
+        ("SolverLimitError", 2)]
+    # The other site sets still yield the same repair here.
+    assert result.found and result.repair == clean.repair

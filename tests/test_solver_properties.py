@@ -179,3 +179,35 @@ def test_disjoint_literals_are_memoised_per_component():
     # A new set sharing the x component only checks its new component.
     assert solver._theory_ok(x_part + (_literal("=", W, const(5)),))
     assert solver.stats["theory_calls"] == calls + 1
+
+
+# ----------------------------------------------------------------------
+# Per-solver canonicalize memo vs plain canonicalize
+# ----------------------------------------------------------------------
+
+from repro.logic.terms import floatvar  # noqa: E402
+
+CANON_OPS = ["=", "<>", "<", "<=", ">", ">=", "LIKE", "NOT LIKE"]
+canon_sides = st.one_of(
+    st.sampled_from(VARS + [floatvar("f"), strvar("s"), strvar("t")]),
+    st.integers(-3, 3).map(const),
+    st.sampled_from(["a%", "abc", "b_"]).map(const),
+    st.builds(add, st.sampled_from(VARS), st.integers(-2, 2).map(const)),
+    st.builds(mul, st.sampled_from(VARS), st.sampled_from(VARS)),
+)
+canon_comparisons = st.builds(
+    Comparison, st.sampled_from(CANON_OPS), canon_sides, canon_sides
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(canon_comparisons, min_size=1, max_size=12),
+       st.integers(1, 6))
+def test_canonicalize_memo_agrees_with_plain_canonicalize(comparisons, limit):
+    """Cold, warm and past-eviction answers all equal the plain function."""
+    solver = Solver()
+    solver._canon_cache.limit = limit
+    for _ in range(2):
+        for comparison in comparisons:
+            assert solver.canonicalize(comparison) == canonicalize(comparison)
+    assert len(solver._canon_cache) <= limit
